@@ -6,18 +6,21 @@
 //   * --kernels [--json FILE]: kernel-variant sweep (scalar/swar/avx2 ×
 //     block size) using paired-ratio medians — interleaved baseline/variant
 //     trials, median of per-pair time ratios — because bare wall-clock on a
-//     shared box cannot resolve sub-10% deltas. Emits BENCH_kernels.json.
+//     shared box cannot resolve sub-10% deltas — plus 4 KiB random-access
+//     decode per corpus (the decoder has no dispatch levels, so those rows
+//     are medians of MB/s). Emits BENCH_kernels.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <string_view>
+#include <thread>
 
 #include "huffman/canonical.h"
 #include "huffman/decoder.h"
 #include "huffman/encoder.h"
-#include "huffman/fast_decoder.h"
 #include "huffman/length_limited.h"
 #include "huffman/offsets.h"
 #include "huffman/stream_format.h"
@@ -119,9 +122,14 @@ void BM_CheckTask(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckTask);
 
-void BM_DecodeBlock(benchmark::State& state) {
-  const auto& data = txt_1mb();
-  const auto table = huff::CodeTable::from_histogram(huff::Histogram::of(data));
+void BM_FastDecodeBlock(benchmark::State& state) {
+  // Random-access decode of one 4 KiB block as the container path does it:
+  // unlimited codes from the pipeline's floored histogram (its rarest codes
+  // are longer than the decoder's table), one Decoder per container.
+  const auto kind = static_cast<wl::FileKind>(state.range(0));
+  const auto data = wl::make_corpus(kind, 1 << 20, 1);
+  const auto table = huff::CodeTable::from_histogram(
+      huff::Histogram::of(data).with_floor(1));
   const auto block = std::span(data).first(4096);
   const auto enc = huff::encode_block(block, table);
   const huff::Decoder decoder(table);
@@ -130,25 +138,7 @@ void BM_DecodeBlock(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 4096);
 }
-BENCHMARK(BM_DecodeBlock);
-
-void BM_FastDecodeBlock(benchmark::State& state) {
-  // Table-driven decode with length-limited codes: the production-style
-  // alternative to the canonical bit walker (BM_DecodeBlock).
-  const auto& data = txt_1mb();
-  const auto window = static_cast<std::uint8_t>(state.range(0));
-  const auto hist = huff::Histogram::of(data);
-  const auto table = huff::CodeTable::from_lengths(
-      huff::build_limited_lengths(hist, window));
-  const auto block = std::span(data).first(4096);
-  const auto enc = huff::encode_block(block, table);
-  const huff::FastDecoder decoder(table, window);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(decoder.decode(enc.bits, block.size()));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 4096);
-}
-BENCHMARK(BM_FastDecodeBlock)->Arg(10)->Arg(12);
+BENCHMARK(BM_FastDecodeBlock)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_PackageMerge(benchmark::State& state) {
   const auto hist = huff::Histogram::of(txt_1mb()).with_floor(1);
@@ -273,6 +263,42 @@ AllocRow measure_allocs(std::span<const std::uint8_t> data,
           1.0, nblocks * kEpochs};
 }
 
+#ifndef TVS_BUILD_TYPE
+#define TVS_BUILD_TYPE "unknown"
+#endif
+
+/// Random-access decode of every 4 KiB block of a 1 MiB corpus, one Decoder
+/// per container as decode_block serves it; median and best of 9 trials.
+struct DecodeRow {
+  std::string corpus;
+  std::size_t block_size;
+  double mb_per_s_median;
+  double mb_per_s_best;
+  std::size_t trials;
+};
+
+DecodeRow sweep_decode(wl::FileKind kind) {
+  constexpr std::size_t kTrials = 9;
+  constexpr std::size_t kBlock = 4096;
+  constexpr std::size_t kPassesPerTrial = 8;
+  const auto data = wl::make_corpus(kind, 1 << 20, 1);
+  const auto cs = huff::deserialize(huff::compress_buffer(data, kBlock));
+  const huff::Decoder decoder(cs.table());
+  const auto pass = [&] {
+    for (std::size_t i = 0; i < cs.n_blocks; ++i) {
+      benchmark::DoNotOptimize(huff::decode_block(cs, decoder, i));
+    }
+  };
+  (void)trial_seconds(pass, 1);
+  std::vector<double> mbps;
+  const double mb = static_cast<double>(kPassesPerTrial * data.size()) / (1 << 20);
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    mbps.push_back(mb / trial_seconds(pass, kPassesPerTrial));
+  }
+  std::sort(mbps.begin(), mbps.end());
+  return {wl::to_string(kind), kBlock, mbps[kTrials / 2], mbps.back(), kTrials};
+}
+
 int run_kernel_sweep(const char* json_path) {
   const auto data = wl::make_corpus(wl::FileKind::Txt, 1 << 20);
   const auto table = huff::CodeTable::from_histogram(
@@ -306,6 +332,11 @@ int run_kernel_sweep(const char* json_path) {
     }
   }
   const AllocRow allocs = measure_allocs(data, 4096);
+  std::vector<DecodeRow> decode_rows;
+  for (wl::FileKind kind : wl::all_kinds()) {
+    decode_rows.push_back(sweep_decode(kind));
+  }
+  const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
 
   std::printf("kernel sweep (paired-ratio medians vs scalar, best-of-N MB/s)\n");
   std::printf("%-10s %-7s %9s %12s %8s\n", "kernel", "variant", "block",
@@ -319,6 +350,12 @@ int run_kernel_sweep(const char* json_path) {
       "over %zu blocks (heap path: %.1f vector alloc/block by construction)\n",
       allocs.arena_chunk_mallocs_per_block, allocs.arena_bump_allocs_per_block,
       allocs.blocks, allocs.heap_allocs_per_block);
+  std::printf("decode_block, one Decoder per container (median/best MB/s)\n");
+  for (const auto& r : decode_rows) {
+    std::printf("decode     %-7s %9zu %12.1f %8.1f\n", r.corpus.c_str(),
+                r.block_size, r.mb_per_s_median, r.mb_per_s_best);
+  }
+  std::printf("nproc %u, build type %s\n", nproc, TVS_BUILD_TYPE);
 
   if (json_path != nullptr) {
     std::FILE* f = std::fopen(json_path, "w");
@@ -328,9 +365,10 @@ int run_kernel_sweep(const char* json_path) {
     }
     std::fprintf(f,
                  "{\n  \"bench\": \"kernels\",\n"
+                 "  \"nproc\": %u,\n  \"build_type\": \"%s\",\n"
                  "  \"method\": \"paired-ratio medians vs scalar; "
                  "best-of-%d MB/s\",\n  \"results\": [\n",
-                 9);
+                 nproc, TVS_BUILD_TYPE, 9);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const auto& r = rows[i];
       std::fprintf(f,
@@ -339,6 +377,18 @@ int run_kernel_sweep(const char* json_path) {
                    "\"ratio_vs_scalar_median\": %.3f, \"pairs\": %zu}%s\n",
                    r.kernel, r.variant, r.block_size, r.mb_per_s,
                    r.ratio_median, r.pairs, i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(f,
+                 "  ],\n  \"decode\": [\n");
+    for (std::size_t i = 0; i < decode_rows.size(); ++i) {
+      const auto& r = decode_rows[i];
+      std::fprintf(f,
+                   "    {\"kernel\": \"decode_block\", \"corpus\": \"%s\", "
+                   "\"block_size\": %zu, \"mb_per_s_median\": %.1f, "
+                   "\"mb_per_s_best\": %.1f, \"trials\": %zu}%s\n",
+                   r.corpus.c_str(), r.block_size, r.mb_per_s_median,
+                   r.mb_per_s_best, r.trials,
+                   i + 1 < decode_rows.size() ? "," : "");
     }
     std::fprintf(f,
                  "  ],\n  \"allocations\": {\"arena_chunk_mallocs_per_block\": "

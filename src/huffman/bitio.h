@@ -81,6 +81,7 @@ class BitReader {
   void seek(std::uint64_t bit_offset) { bit_pos_ = bit_offset; }
 
   [[nodiscard]] std::uint64_t position() const { return bit_pos_; }
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const { return data_; }
   [[nodiscard]] std::uint64_t bit_capacity() const {
     return static_cast<std::uint64_t>(data_.size()) * 8;
   }

@@ -1,8 +1,8 @@
 // Length-limited prefix codes.
 //
-// The fast table-driven decoder (fast_decoder.h) indexes a 2^W lookup table
-// with the next W bits; codes longer than W take a slow path. Limiting the
-// maximum code length to W makes decoding branch-free per symbol. This
+// The table-driven decoder (decoder.h) indexes a 2^W lookup table with the
+// next W bits; codes longer than W take a slow path. Limiting the maximum
+// code length to W keeps every symbol on the table. This
 // module turns optimal Huffman lengths into the *optimal* lengths subject
 // to a maximum, via the package-merge algorithm (Larmore & Hirschberg
 // 1990) — the same construction production compressors use for their

@@ -184,13 +184,20 @@ std::vector<std::uint8_t> decompress_buffer(
 
 std::vector<std::uint8_t> decode_block(const CompressedStream& stream,
                                         std::size_t i) {
+  return decode_block(stream, Decoder(stream.table()), i);
+}
+
+std::vector<std::uint8_t> decode_block(const CompressedStream& stream,
+                                        const Decoder& decoder, std::size_t i) {
   if (!stream.has_index()) {
     throw std::logic_error("decode_block: container carries no block index");
   }
   if (i >= stream.n_blocks) {
     throw std::out_of_range("decode_block: block index out of range");
   }
-  const Decoder decoder(stream.table());
+  if (stream.block_offsets[i] >= stream.payload_bits) {
+    throw std::runtime_error("decode_block: index entry past the payload");
+  }
   BitReader reader(stream.payload);
   reader.seek(stream.block_offsets[i]);
   return decoder.decode(reader, stream.block_bytes(i));

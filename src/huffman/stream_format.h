@@ -32,6 +32,8 @@
 
 namespace huff {
 
+class Decoder;
+
 struct CompressedStream {
   std::uint64_t original_bytes = 0;
   std::uint32_t n_blocks = 0;
@@ -70,9 +72,15 @@ struct CompressedStream {
 
 /// Random access: decodes only block `i` using the embedded index. Throws
 /// std::logic_error if the container carries no index, std::out_of_range on
-/// a bad block number.
+/// a bad block number, std::runtime_error if the index entry points at or
+/// past the payload's last bit or the block does not decode.
 [[nodiscard]] std::vector<std::uint8_t> decode_block(
     const CompressedStream& stream, std::size_t i);
+
+/// As above with a decoder built once for `stream.table()`, so reading many
+/// blocks of one container builds the lookup table once.
+[[nodiscard]] std::vector<std::uint8_t> decode_block(
+    const CompressedStream& stream, const Decoder& decoder, std::size_t i);
 
 /// Inverse of compress_buffer / of the pipeline's output.
 [[nodiscard]] std::vector<std::uint8_t> decompress_buffer(

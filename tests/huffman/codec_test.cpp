@@ -3,9 +3,12 @@
 // the whole stream).
 #include <gtest/gtest.h>
 
+#include "huffman/bitio.h"
 #include "huffman/decoder.h"
 #include "huffman/encoder.h"
 #include "huffman/offsets.h"
+#include "huffman/stream_format.h"
+#include "support/reference_decoder.h"
 #include "workload/corpus.h"
 #include "workload/rng.h"
 
@@ -184,6 +187,50 @@ TEST(Assemble, SizeMismatchThrows) {
   std::vector<huff::EncodedBlock> blocks(2);
   std::vector<std::uint64_t> offsets(3, 0);
   EXPECT_THROW(huff::assemble(blocks, offsets), std::invalid_argument);
+}
+
+// The table-driven ("fast") decode path against the bit-serial canonical
+// walk, on the corpora's own Huffman tables. The randomized and hostile
+// cases are in decoder_test.cpp.
+class FastDecoderEquivalence : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(FastDecoderEquivalence, MatchesCanonicalDecoder) {
+  const auto kind = static_cast<wl::FileKind>(GetParam() % 3);
+  const auto data = wl::make_corpus(kind, 40000, GetParam());
+  const CodeTable t = CodeTable::from_histogram(Histogram::of(data));
+  const auto enc = huff::encode_block(data, t);
+  const auto decoded = Decoder(t).decode(enc.bits, data.size());
+  EXPECT_EQ(decoded, testref::CanonicalWalk(t).decode(enc.bits, data.size()));
+  EXPECT_EQ(decoded, data);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FastDecoderEquivalence,
+                         ::testing::Range<std::uint64_t>(0, 9));
+
+TEST(FastDecoder, StartBitOffsetsWork) {
+  const auto data = wl::make_corpus(wl::FileKind::Pdf, 20000, 2);
+  const auto s = huff::deserialize(huff::compress_buffer(data, 4096));
+  const Decoder d(s.table());
+  for (std::size_t b = 0; b < s.n_blocks; ++b) {
+    huff::BitReader reader(s.payload);
+    reader.seek(s.block_offsets[b]);
+    const auto block = d.decode(reader, s.block_bytes(b));
+    EXPECT_TRUE(std::equal(block.begin(), block.end(),
+                           data.begin() + static_cast<std::ptrdiff_t>(b * 4096)))
+        << b;
+    const std::uint64_t end = b + 1 < s.n_blocks ? s.block_offsets[b + 1]
+                                                 : s.payload_bits;
+    EXPECT_EQ(reader.position(), end) << b;
+  }
+}
+
+TEST(FastDecoder, TruncatedInputThrows) {
+  const auto data = wl::make_corpus(wl::FileKind::Txt, 1000);
+  const CodeTable t = CodeTable::from_histogram(Histogram::of(data));
+  const auto enc = huff::encode_block(data, t);
+  EXPECT_THROW((void)Decoder(t).decode(enc.bits, data.size() + 100),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "huffman/decoder.h"
 #include "workload/corpus.h"
 #include "workload/rng.h"
 
@@ -148,6 +149,40 @@ TEST(RandomAccess, OutOfRangeBlockThrows) {
   const auto s = huff::deserialize(huff::compress_buffer(data));
   EXPECT_THROW(huff::decode_block(s, s.n_blocks), std::out_of_range);
   EXPECT_THROW(s.block_bytes(99), std::out_of_range);
+}
+
+TEST(RandomAccess, SharedDecoderMatchesPerCallDecoder) {
+  const auto data = wl::make_corpus(wl::FileKind::Txt, 50000);
+  const auto s = huff::deserialize(huff::compress_buffer(data));
+  const huff::Decoder decoder(s.table());
+  for (std::size_t b = 0; b < s.n_blocks; ++b) {
+    EXPECT_EQ(huff::decode_block(s, decoder, b), huff::decode_block(s, b)) << b;
+  }
+}
+
+TEST(RandomAccess, CorruptIndexEntryThrows) {
+  const auto data = wl::make_corpus(wl::FileKind::Bmp, 30000);
+  const auto good = huff::deserialize(huff::compress_buffer(data));
+  ASSERT_GE(good.n_blocks, 3u);
+  const huff::Decoder decoder(good.table());
+  const std::uint64_t payload_end = good.payload.size() * 8;
+  // An entry at the last code bit's successor, inside the padding, at the
+  // end of the payload bytes, past them, and at the top of the range.
+  for (const std::uint64_t bad :
+       {good.payload_bits, payload_end - 1, payload_end, payload_end + 1,
+        payload_end + 4096, ~std::uint64_t{0}}) {
+    auto s = good;
+    s.block_offsets[1] = bad;
+    EXPECT_THROW((void)huff::decode_block(s, 1), std::runtime_error) << bad;
+    EXPECT_THROW((void)huff::decode_block(s, decoder, 1), std::runtime_error)
+        << bad;
+    // The other blocks still decode.
+    EXPECT_EQ(huff::decode_block(s, decoder, 2), huff::decode_block(good, 2));
+  }
+  // An entry moved near the end, so the block's codes run off the payload.
+  auto s = good;
+  s.block_offsets[0] = good.payload_bits - 3;
+  EXPECT_THROW((void)huff::decode_block(s, decoder, 0), std::runtime_error);
 }
 
 TEST(RandomAccess, IndexCostIsSmall) {

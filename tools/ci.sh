@@ -17,8 +17,9 @@
 #                          # (recorder armed on the sharded executor) + the
 #                          # post-mortem smoke inside serve_load --smoke
 #   tools/ci.sh kernels    # data-plane kernel gate: the differential suite
-#                          # plus codec/histogram/io tests under asan+ubsan
-#                          # with TVS_SIMD forced to every dispatch level
+#                          # plus codec/decoder/histogram/io tests under
+#                          # asan+ubsan with TVS_SIMD forced to every
+#                          # dispatch level
 #   tools/ci.sh control    # adaptive-control-plane gate: controller logic,
 #                          # delta-view, serving integration and retune-race
 #                          # tests, then the ablation A/B in --smoke mode
@@ -160,12 +161,15 @@ if [[ "${1:-}" == "kernels" ]]; then
     echo "-- kernel_diff_test with TVS_SIMD=${level} --"
     TVS_SIMD="$level" ./build-asan/tests/kernel_diff_test
   done
-  # Codec, histogram, and zero-copy I/O suites at the scalar reference level
-  # and at the best level the host supports: both must be bit-exact.
+  # Codec, decoder, histogram, and zero-copy I/O suites at the scalar
+  # reference level and at the best level the host supports: both must be
+  # bit-exact. The decoder suite feeds truncated and hostile bit streams, so
+  # an overread past a payload fails here.
   for level in 0 2; do
-    echo "-- codec/histogram/io/arena suites with TVS_SIMD=${level} --"
+    echo "-- codec/decoder/histogram/io/arena suites with TVS_SIMD=${level} --"
     TVS_SIMD="$level" ./build-asan/tests/histogram_test
     TVS_SIMD="$level" ./build-asan/tests/codec_test
+    TVS_SIMD="$level" ./build-asan/tests/decoder_test
     TVS_SIMD="$level" ./build-asan/tests/stream_format_test
     TVS_SIMD="$level" ./build-asan/tests/io_test
     TVS_SIMD="$level" ./build-asan/tests/arena_test

@@ -23,8 +23,11 @@
 //   --metrics-interval=<ms>    sampler tick period (default 50 ms)
 //   --report=<dir>             write a run-report bundle (json/md/prom)
 //
+// Fleet flag (compress, serve and served modes):
+//   --workers=<n>              runtime workers (default: the host's
+//                              hardware threads, at least 1)
+//
 // Serving flags (serve mode):
-//   --workers=<n>              shared fleet size (default 8)
 //   --concurrent=<n>           sessions running at once (default 4)
 //   --metrics=prom|json        serving-metrics snapshot on exit
 //   --flight-recorder=<dir>    arm the always-on flight recorder; writes
@@ -53,6 +56,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/node_agent.h"
@@ -78,7 +82,9 @@ struct CliOptions {
   std::string metrics;          ///< "", "prom", "json" or "dash"
   std::uint64_t interval_ms = 50;
   std::string report_dir;       ///< "" = no report bundle
-  unsigned workers = 8;         ///< serve mode: shared fleet size
+  /// compress/serve/served modes: runtime workers; the hardware threads
+  /// by default, so a small host is not oversubscribed.
+  unsigned workers = std::max(1u, std::thread::hardware_concurrency());
   std::size_t concurrent = 4;   ///< serve mode: running-session window
   std::string flight_dir;       ///< "" = flight recorder off
   std::uint64_t flight_window_s = 30;  ///< recorder retention (seconds)
@@ -108,12 +114,14 @@ int usage() {
       "                                 framed RPC protocol\n"
       "  tvsc route <inputs...>         shard inputs across --node= agents;\n"
       "                                 writes <input>.tvsh each\n"
+      "flags (compress, serve, served):\n"
+      "  --workers=<n>                  runtime workers (default: hardware\n"
+      "                                 threads, at least 1)\n"
       "flags (compress):\n"
       "  --metrics=prom|json|dash       metrics snapshot / live dashboard\n"
       "  --metrics-interval=<ms>        sampler period (default 50)\n"
       "  --report=<dir>                 write run-report bundle into <dir>\n"
       "flags (serve):\n"
-      "  --workers=<n>                  shared fleet size (default 8)\n"
       "  --concurrent=<n>               running-session window (default 4)\n"
       "  --flight-recorder=<dir>        arm the flight recorder; traces and\n"
       "                                 post-mortems land in <dir>\n"
@@ -155,7 +163,7 @@ int compress_file(const std::string& in_path, const std::string& out_path,
   if (want_metrics) rt.set_observer(&mobs);
 
   sre::ThreadedExecutor::Options topts;
-  topts.workers = 8;
+  topts.workers = cli.workers;
   topts.arrival_time_scale = 0.0;
   if (want_metrics) {
     topts.worker_start_hook = [](unsigned ix) {
